@@ -17,6 +17,13 @@ cargo build --release --workspace $CARGO_FLAGS
 echo "== cargo test -q =="
 cargo test -q --workspace $CARGO_FLAGS
 
+echo "== dualbench tests =="
+# The benchmark is a separate workspace, so the line above never reaches
+# it. Its tests run every workload briefly and gate the exact counts
+# (simulated cycles, instruction words, per-cell cycle digest, cache
+# hits) against dualbench/golden.json.
+cargo test --release $CARGO_FLAGS --manifest-path dualbench/Cargo.toml
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
